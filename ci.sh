@@ -47,6 +47,12 @@
 #                 build/artifacts/sel_predictor.json, refreshes
 #                 BENCH_pred.json, and gates the >=10% wasted-draw savings
 #                 and lower stage-cost error vs the prior-cache baseline
+#   perf-smoke    perfbench/run.py --trace 1 on select_large and
+#                 join_sortmerge (seed 1, 3 s each); gates only on the exit
+#                 status: every answer passes the benchmark's correctness
+#                 checks and the layer replay reproduces the engine's
+#                 per-stage estimate and variance bit for bit. No timing
+#                 gate.
 #   tsan          ThreadSanitizer build + ctest (contracts armed)
 #   asan          AddressSanitizer build + ctest (contracts armed)
 #   ubsan         UndefinedBehaviorSanitizer build + ctest (contracts armed)
@@ -58,7 +64,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 jobs="$(nproc 2>/dev/null || echo 2)"
-ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench vec-bench pred-bench tsan asan ubsan)
+ALL_STAGES=(lint format-check tidy thread-safety release trace-smoke warm-bench serve-bench fault-bench vec-bench pred-bench perf-smoke tsan asan ubsan)
 
 usage() {
   echo "usage: $0 [stage...]   stages: ${ALL_STAGES[*]}" >&2
@@ -339,6 +345,15 @@ print(f"pred-bench: {result['wasted_savings_pct']:.1f}% wasted-draw savings, "
       f"{result['prior_cache']['stage_cost_overrun_err']:.3f}; "
       "summary at BENCH_pred.json")
 EOF_PY
+}
+
+stage_perf_smoke() {
+  local workload
+  for workload in select_large join_sortmerge; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 3 \
+      --trace 1 >/dev/null || return 1
+    echo "perf-smoke: $workload passed its correctness and replay checks"
+  done
 }
 
 stage_tsan() {

@@ -210,7 +210,9 @@ class QueryBuilder {
   /// own samples feed the cache back. Off by default
   /// (Session::Options::warm_start flips the session default);
   /// WithWarmStart(false) is bit-identical to a session that never warmed
-  /// anything, at any seed and thread count. Explain() always plans cold.
+  /// anything, at any seed and thread count. Explain() plans with cold
+  /// cost coefficients and no pooled replay; with the predictor on it
+  /// peeks the session predictor and cached priors (read-only).
   QueryBuilder& WithWarmStart(bool on = true) {
     warm_start_ = on;
     return *this;

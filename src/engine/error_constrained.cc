@@ -5,9 +5,7 @@
 #include <limits>
 #include <map>
 
-#include "estimator/combined.h"
-#include "estimator/count_estimator.h"
-#include "ra/inclusion_exclusion.h"
+#include "engine/prepared_query.h"
 #include "sampling/block_sampler.h"
 #include "sim/clock.h"
 #include "sim/ledger.h"
@@ -36,10 +34,6 @@ Result<ErrorConstrainedResult> RunErrorConstrainedCount(
     return Status::InvalidArgument(
         "error-constrained evaluation needs a precision target");
   }
-  TCQ_ASSIGN_OR_RETURN(Schema schema, InferSchema(expr, catalog));
-  (void)schema;
-  TCQ_ASSIGN_OR_RETURN(std::vector<SignedTerm> terms, ExpandCount(expr));
-
   VirtualClock clock;
   CostLedger ledger(&clock);
   Rng rng(options.seed);
@@ -47,46 +41,22 @@ Result<ErrorConstrainedResult> RunErrorConstrainedCount(
   ledger.AttachNoise(&noise_rng, options.physical.stage_speed_cv,
                      options.physical.block_read_jitter);
 
-  // Constant scan terms, sampled terms, shared samplers (mirrors the
-  // time-constrained engine).
-  std::vector<std::unique_ptr<StagedTermEvaluator>> evaluators;
-  std::vector<int> signs;
-  std::vector<CountEstimate> constants;
-  std::vector<int> constant_signs;
+  // The time-constrained engine's preparation step; the loop runs
+  // serially, so every term charges the one clocked ledger.
+  TCQ_ASSIGN_OR_RETURN(
+      PreparedQuery query,
+      PrepareQuery(expr, AggregateSpec::Count(), catalog, options.fulfillment,
+                   options.physical, &ledger));
   std::map<std::string, std::unique_ptr<BlockSampler>> samplers;
-  for (const SignedTerm& term : terms) {
-    if (term.expr->kind == ExprKind::kScan) {
-      TCQ_ASSIGN_OR_RETURN(RelationPtr rel,
-                           catalog.Find(term.expr->relation));
-      CountEstimate constant;
-      constant.value = static_cast<double>(rel->NumTuples());
-      constant.hits = rel->NumTuples();
-      constant.total_points = constant.value;
-      constants.push_back(constant);
-      constant_signs.push_back(term.sign);
-      continue;
-    }
-    TCQ_ASSIGN_OR_RETURN(
-        auto ev, StagedTermEvaluator::Create(term.expr, catalog,
-                                             options.fulfillment, &ledger,
-                                             options.physical));
-    std::vector<std::string> scans;
-    CollectScans(term.expr, &scans);
-    for (const std::string& name : scans) {
-      if (samplers.count(name) == 0) {
-        TCQ_ASSIGN_OR_RETURN(RelationPtr rel, catalog.Find(name));
-        samplers[name] = std::make_unique<BlockSampler>(std::move(rel));
-      }
-    }
-    evaluators.push_back(std::move(ev));
-    signs.push_back(term.sign);
+  for (const auto& [name, rel] : query.relations) {
+    samplers[name] = std::make_unique<BlockSampler>(rel);
   }
 
   ErrorConstrainedResult result;
   result.ci.level = options.confidence;
-  if (evaluators.empty()) {
-    CountEstimate combined =
-        CombineSignedEstimates(constant_signs, constants);
+  if (query.evaluators.empty()) {
+    CountEstimate combined = CombineTermEstimates(
+        query, ObsHandle(), CombineVariance::kIndependent);
     result.estimate = combined.value;
     result.met_target = true;
     result.ci = NormalConfidenceInterval(combined, options.confidence);
@@ -111,25 +81,16 @@ Result<ErrorConstrainedResult> RunErrorConstrainedCount(
       stage_blocks[name] = std::move(blocks);
     }
     if (drawn == 0) break;  // exhausted every relation
-    for (auto& ev : evaluators) {
+    for (auto& ev : query.evaluators) {
       TCQ_RETURN_NOT_OK(ev->ExecuteStage(stage_blocks));
     }
     result.blocks_sampled += drawn;
     ++result.stages;
 
-    // Estimate.
-    std::vector<CountEstimate> estimates;
-    for (const auto& ev : evaluators) {
-      estimates.push_back(ClusterCountEstimate(
-          ev->total_space_blocks(), ev->cum_space_blocks(), ev->cum_hits(),
-          ev->cum_points(), ev->total_points()));
-    }
-    std::vector<int> all_signs = signs;
-    for (size_t c = 0; c < constants.size(); ++c) {
-      estimates.push_back(constants[c]);
-      all_signs.push_back(constant_signs[c]);
-    }
-    CountEstimate combined = CombineSignedEstimates(all_signs, estimates);
+    // Estimate (the time-constrained engine's term estimators: cluster
+    // counts, Goodman for projections).
+    CountEstimate combined = CombineTermEstimates(
+        query, ObsHandle(), CombineVariance::kIndependent);
     result.estimate = combined.value;
     result.variance = combined.variance;
     result.ci = NormalConfidenceInterval(combined, options.confidence);

@@ -141,11 +141,6 @@ struct ExecutorOptions {
   [[nodiscard]] Status Validate() const;
 };
 
-/// What happened during one stage (Figure 3.1's while-loop body).
-/// `StageReport` (src/obs/report.h) is the record; the old `StageTrace`
-/// name stays as an alias for existing call sites.
-using StageTrace = StageReport;
-
 /// How the serving layer admitted a query (filled in by tcq::Server;
 /// every standalone engine run reports kStandalone with zeroed timings).
 /// Rejected submissions never produce a QueryResult — they surface as a
@@ -296,14 +291,18 @@ struct ExplainResult {
   std::string ToString() const;
 };
 
-/// Runs the planning loop — inclusion–exclusion expansion, stage-1
-/// selectivity defaults, the time-control strategy and Sample-Size-
-/// Determine over the initial cost coefficients — WITHOUT drawing a
-/// single sample (EXPLAIN, not EXPLAIN ANALYZE). Predictions are the
-/// stage-0 view: block exhaustion is simulated stage over stage, but the
-/// selectivity revisions and cost-coefficient re-fits that a real run
-/// learns from its samples are not, so later stages' costs reflect the
-/// planner's priors. Deterministic and side-effect free.
+/// Runs the run's own stage planner — the same query preparation,
+/// stage-1 selectivities, QCOST and time-control strategy — in a loop
+/// over hypothetical state, WITHOUT drawing a single sample (EXPLAIN, not
+/// EXPLAIN ANALYZE): each predicted stage spends its predicted seconds
+/// and its blocks. Predictions are the stage-0 view: the selectivity
+/// revisions and cost-coefficient re-fits a real run learns from its
+/// samples are not simulated, so later stages' costs reflect the
+/// planner's priors, and the first predicted stage equals a real run's
+/// first stage. EXPLAIN plans with the serial cost model and cold
+/// coefficients; with `options.sel_predictor` enabled it peeks the
+/// session predictor and cached priors of `options.warm_cache`
+/// read-only. Deterministic and side-effect free.
 [[nodiscard]] Result<ExplainResult> ExplainTimeConstrainedAggregate(
     const ExprPtr& expr, const AggregateSpec& aggregate,
     const Catalog& catalog, const ExecutorOptions& options);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ra/parser.h"
 #include "util/stats.h"
 #include "workload/generators.h"
 
@@ -112,6 +113,25 @@ TEST(ErrorConstrainedTest, CoverageOfReportedIntervals) {
     if (r->ci.lo <= 2000.0 && 2000.0 <= r->ci.hi) ++covered;
   }
   EXPECT_GE(covered, 30);  // ≥75% at a nominal 95%
+}
+
+TEST(ErrorConstrainedTest, ProjectionCountsDistinctGroups) {
+  // COUNT(PROJECT[key](r1)) counts distinct keys, not tuples: the loop
+  // must use the same Goodman-based term estimate as the time-constrained
+  // engine. 20,000 tuples over a key domain of 500 hold exactly 500
+  // distinct keys.
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.Register(MakeUniformRelation("r1", 20000, 500, 11)).ok());
+  auto query = ParseQuery("PROJECT[key](r1)");
+  ASSERT_TRUE(query.ok());
+  ErrorConstrainedOptions options;
+  options.seed = 5;
+  auto r = RunErrorConstrainedCount(*query, catalog, options);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_LE(r->ci.lo, 500.0);
+  EXPECT_GE(r->ci.hi, 500.0);
+  EXPECT_NEAR(r->estimate, 500.0, 50.0);
 }
 
 TEST(ErrorConstrainedTest, DeterministicPerSeed) {

@@ -40,22 +40,59 @@ TEST(ExplainTest, PredictsStagesWithoutRunning) {
   EXPECT_EQ(plan->ToString(), again->ToString());
 }
 
-TEST(ExplainTest, FirstStageMatchesARealRunsFirstStage) {
-  // Stage 1 of a real run plans from the same priors EXPLAIN uses, so the
-  // first predicted stage must coincide with the first executed one.
-  Session session = MakeSession();
-  auto plan = session.Query("r1 INTERSECT r2").WithQuota(2.0).Explain();
-  auto run = session.Query("r1 INTERSECT r2").WithQuota(2.0).WithSeed(3).Run();
+void ExpectFirstStagesMatch(QueryBuilder explain, QueryBuilder run) {
+  auto plan = explain.Explain();
+  auto result = run.Run();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_GE(plan->stages.size(), 1u);
-  ASSERT_GE(run->stages().size(), 1u);
+  ASSERT_GE(result->stages().size(), 1u);
   const StagePrediction& predicted = plan->stages[0];
-  const StageReport& actual = run->stages()[0];
+  const StageReport& actual = result->stages()[0];
   EXPECT_EQ(predicted.time_left_before, actual.time_left_before);
   EXPECT_EQ(predicted.planned_fraction, actual.planned_fraction);
   EXPECT_EQ(predicted.d_beta_used, actual.d_beta_used);
   EXPECT_EQ(predicted.predicted_seconds, actual.predicted_seconds);
+  EXPECT_EQ(predicted.blocks_planned, actual.blocks_drawn);
+}
+
+TEST(ExplainTest, FirstStageMatchesARealRunsFirstStage) {
+  // Stage 1 of a real run plans from the same priors EXPLAIN uses, so the
+  // first predicted stage must coincide with the first executed one —
+  // field for field, also when the planner prices fault overhead.
+  Session session = MakeSession();
+  ExpectFirstStagesMatch(
+      session.Query("r1 INTERSECT r2").WithQuota(2.0),
+      session.Query("r1 INTERSECT r2").WithQuota(2.0).WithSeed(3));
+
+  auto select = MakeSelectionWorkload(2000, 307);
+  ASSERT_TRUE(select.ok());
+  Session select_session(std::move(select->catalog));
+  for (double transient : {0.01, 0.17, 0.45}) {
+    for (double quota : {0.7, 2.0, 17.0}) {
+      SCOPED_TRACE("transient " + std::to_string(transient) + ", quota " +
+                   std::to_string(quota));
+      FaultOptions faults;
+      faults.enabled = true;
+      faults.transient_rate = transient;
+      faults.permanent_rate = 0.01;
+      faults.straggler_rate = 0.02;
+      faults.fault_seed = 7;
+      ExpectFirstStagesMatch(
+          select_session.Query(select->query).WithQuota(quota).WithFaults(
+              faults),
+          select_session.Query(select->query)
+              .WithQuota(quota)
+              .WithFaults(faults)
+              .WithSeed(3));
+      ExpectFirstStagesMatch(
+          session.Query("r1 INTERSECT r2").WithQuota(quota).WithFaults(faults),
+          session.Query("r1 INTERSECT r2")
+              .WithQuota(quota)
+              .WithFaults(faults)
+              .WithSeed(3));
+    }
+  }
 }
 
 TEST(ExplainTest, StageCountTracksTheActualRun) {
@@ -98,6 +135,17 @@ TEST(ExplainTest, ParseErrorsCarryLineAndColumn) {
   const std::string message = plan.status().message();
   EXPECT_NE(message.find("line 2"), std::string::npos) << message;
   EXPECT_NE(message.find("column"), std::string::npos) << message;
+}
+
+TEST(ExplainTest, RejectsAggregatesTheRunRejects) {
+  // EXPLAIN prepares the query exactly like a run, so an aggregate the
+  // run cannot evaluate fails at planning time with the same status.
+  Session session = MakeSession();
+  auto plan = session.Query("PROJECT[key](r1)").Sum("key").Explain();
+  auto run = session.Query("PROJECT[key](r1)").Sum("key").Run();
+  ASSERT_FALSE(plan.ok());
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(plan.status().ToString(), run.status().ToString());
 }
 
 TEST(ExplainTest, InvalidOptionsAreRejected) {
